@@ -55,12 +55,14 @@ race:
 # server-test is the serving-tier gate the CI server job runs: the
 # internal/server integration suite (including the Prometheus exposition
 # golden test), the observability packages, and the tmserve/tmstat wiring
-# under -race, then a tmload smoke sweep against in-process servers.
+# under -race, then a tmload smoke sweep against in-process servers and
+# one iteration of the backend microbenchmark cells.
 server-test:
 	$(GO) test -race -count=1 ./internal/server ./internal/loghist ./internal/telemetry \
 	  ./cmd/tmserve ./cmd/tmload ./cmd/tmstat
 	$(GO) run ./cmd/tmload -smoke
 	$(GO) run ./cmd/tmload -smoke -engine mvstm
+	$(GO) test -run '^$$' -bench 'BenchmarkBackend' -benchtime=1x -benchmem ./internal/server
 
 # bench-e8 runs the E8 suite once and leaves the raw output in
 # bench_e8.txt (also the input format benchdiff accepts as -new).

@@ -14,7 +14,8 @@ type Config struct {
 	// is hashed across (minimum 1).
 	Shards int
 	// Engine selects the per-shard backend: "stm" (TL2 OrderedMap) or
-	// "mvstm" (multi-version buckets).
+	// "mvstm" (range-partitioned chunks of sorted keys in multi-version
+	// Vars).
 	Engine string
 	// RatePerIP caps each client IP at this many requests per second via
 	// a fixed-rate token bucket; 0 or negative disables limiting.
@@ -22,8 +23,9 @@ type Config struct {
 	// ProfileK, when positive, installs a hot-Var contention sketch with
 	// this many slots into the selected engine and labels the shards'
 	// contention units, so /stats and /metrics report the keys (stm) or
-	// buckets (mvstm) transactions abort on. The engine hook is
-	// process-global, like the engines' other telemetry knobs.
+	// the chunks, labeled shard<i>.chunk@<lo> (mvstm), that transactions
+	// abort on. The engine hook is process-global, like the engines'
+	// other telemetry knobs.
 	ProfileK int
 	// ProfileSample admits roughly 1 in this many aborts into the sketch
 	// (rounded up to a power of two; <= 1 admits every abort). Only

@@ -2,11 +2,12 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// fnv32 is FNV-1a, the shard and bucket hash. Inlined rather than
+// fnv32 is FNV-1a, the key-to-shard hash. Inlined rather than
 // hash/fnv so the per-request path allocates nothing.
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
@@ -43,7 +44,8 @@ func NewRouter(n int, engine string) (*Router, error) {
 
 // NewRouterProfiled is NewRouter with hot-Var labeling: when label is
 // set, each shard registers human-readable names for its contention
-// units (map keys for stm, buckets for mvstm) so an installed contention
+// units (map keys for stm; for mvstm, the chunk directory and each
+// range chunk as shard<i>.chunk@<lo>) so an installed contention
 // sketch (stm.SetContentionProfiler and siblings) reports them by name.
 // Labeling costs stm inserts one atomic pointer load plus a registry
 // store per new key; leave it off when not profiling.
@@ -115,23 +117,48 @@ func (r *Router) Stats() (Stats, []int) {
 // are hash-partitioned, so each shard may hold any part of the range).
 // All shard read-locks are taken in id order before the first shard is
 // read: a scan is the archetypal multi-shard reader and must not observe
-// half of a concurrent cross-shard batch.
+// half of a concurrent cross-shard batch. Each shard returns at most
+// limit keys already in order — the global first limit keys are among
+// them — so the merge only interleaves the sorted runs.
 func (r *Router) Scan(from, to string, limit int) ([]KV, error) {
 	for i := range r.locks {
 		r.locks[i].RLock()
-		defer r.locks[i].RUnlock()
 	}
-	var out []KV
+	defer func() {
+		for i := range r.locks {
+			r.locks[i].RUnlock()
+		}
+	}()
+	runs := make([][]KV, 0, len(r.shards))
+	total := 0
 	for _, s := range r.shards {
-		kvs, err := s.Scan(from, to, 0)
+		kvs, err := s.Scan(from, to, limit)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, kvs...)
+		if len(kvs) > 0 {
+			runs = append(runs, kvs)
+			total += len(kvs)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	if total == 0 {
+		return nil, nil
+	}
+	if limit > 0 {
+		total = min(total, limit)
+	}
+	out := make([]KV, total)
+	for i := range out {
+		m := 0
+		for j := 1; j < len(runs); j++ {
+			if runs[j][0].Key < runs[m][0].Key {
+				m = j
+			}
+		}
+		out[i] = runs[m][0]
+		if runs[m] = runs[m][1:]; len(runs[m]) == 0 {
+			runs = slices.Delete(runs, m, m+1)
+		}
 	}
 	return out, nil
 }
